@@ -8,10 +8,13 @@
 //!
 //! 1. **DFS phase** — greedily take any untraversed out-edge of the current
 //!    state, marking it traversed, until the current state has none left.
-//! 2. **BFS explore phase** — breadth-first search (over *all* edges, not
-//!    adding them to the tour) for the nearest state with an untraversed
-//!    out-edge; append the shortest path to the trace (re-traversing edges
-//!    is cheap in simulation, backtracking is not) and resume the DFS.
+//! 2. **BFS explore phase** — breadth-first search (not adding edges to
+//!    the tour) for the nearest state with an untraversed out-edge; append
+//!    the shortest path to the trace (re-traversing edges is cheap in
+//!    simulation, backtracking is not) and resume the DFS. The search keeps
+//!    to arcs that lead one step closer to such a state, read off an
+//!    incrementally maintained distance field (`distance.rs`), and finds
+//!    the same target and path a search over every arc would.
 //! 3. When no untraversed edge is reachable, or the per-trace instruction
 //!    limit is hit, close the trace and start a new one from reset.
 //!
@@ -24,6 +27,7 @@ use std::time::Instant;
 use archval_fsm::graph::{EdgeIx, StateGraph, StateId};
 use archval_fsm::EdgeLabel;
 
+use crate::distance::{DistanceField, UNREACHABLE};
 use crate::stats::TourStats;
 
 /// Configuration for [`generate_tours`].
@@ -171,6 +175,12 @@ pub fn generate_tours_with(
     let mut cursor: Vec<u32> = (0..n).map(|s| graph.out_range(StateId(s as u32)).start).collect();
     let mut remaining = m;
 
+    // distance from every state to the nearest untraversed arc, brought up
+    // to date with the states that ran out of untraversed arcs before each
+    // explore
+    let mut field = DistanceField::new(graph, |s| untraversed_out[s.0 as usize] > 0);
+    let mut retired: Vec<u32> = Vec::new();
+
     // BFS scratch with generation stamps so it needs no per-call clearing
     let mut bfs_gen = vec![0u32; n];
     let mut bfs_parent_edge = vec![EdgeIx(0); n];
@@ -180,20 +190,26 @@ pub fn generate_tours_with(
     let mut traces: Vec<Trace> = Vec::new();
     let mut total_traversals: u64 = 0;
     let mut total_instructions: u64 = 0;
+    let mut explores: u64 = 0;
+    let mut explore_states_visited: u64 = 0;
 
     let reset = StateId(0);
 
-    let take = |e: EdgeIx,
+    let take = |src: StateId,
+                e: EdgeIx,
                 trace: &mut Trace,
                 covered: &mut Vec<bool>,
                 untraversed_out: &mut Vec<u32>,
+                retired: &mut Vec<u32>,
                 remaining: &mut usize,
                 fresh_in_trace: &mut usize| {
-        let src = graph.edge_src(e);
         let dst = graph.edge_dst(e);
         if !covered[e.0 as usize] {
             covered[e.0 as usize] = true;
             untraversed_out[src.0 as usize] -= 1;
+            if untraversed_out[src.0 as usize] == 0 {
+                retired.push(src.0);
+            }
             *remaining -= 1;
             *fresh_in_trace += 1;
         }
@@ -233,10 +249,12 @@ pub fn generate_tours_with(
                     match found {
                         Some(e) => {
                             state = take(
+                                state,
                                 EdgeIx(e),
                                 &mut trace,
                                 &mut covered,
                                 &mut untraversed_out,
+                                &mut retired,
                                 &mut remaining,
                                 &mut fresh_in_trace,
                             );
@@ -245,10 +263,12 @@ pub fn generate_tours_with(
                     }
                 } else {
                     state = take(
+                        state,
                         EdgeIx(cur),
                         &mut trace,
                         &mut covered,
                         &mut untraversed_out,
+                        &mut retired,
                         &mut remaining,
                         &mut fresh_in_trace,
                     );
@@ -270,61 +290,77 @@ pub fn generate_tours_with(
                 break;
             }
 
-            // --- BFS explore phase: nearest state with untraversed out-edge ---
+            // --- explore phase: shortest path to the nearest state with an
+            // untraversed out-edge ---
+            explores += 1;
+            field.retire(graph, &retired);
+            retired.clear();
+            let to_go = field.dist(state);
+            if to_go == UNREACHABLE {
+                break; // nothing reachable: close this trace
+            }
+            assert_ne!(to_go, 0, "dead end {state:?} is on the frontier");
+            // breadth-first, but only along arcs one step closer to the
+            // frontier: the on-path states come off the queue in the same
+            // order, with the same parent arcs, as in a search over every
+            // arc, so the target and the path are the same
             generation += 1;
             bfs_queue.clear();
             bfs_gen[state.0 as usize] = generation;
             bfs_queue.push(state.0);
             let mut head = 0usize;
-            let mut found: Option<StateId> = None;
+            let mut target = state;
             while head < bfs_queue.len() {
                 let s = StateId(bfs_queue[head]);
                 head += 1;
-                if untraversed_out[s.0 as usize] > 0 && s != state {
-                    found = Some(s);
+                let ds = field.dist(s);
+                if ds == 0 {
+                    target = s;
                     break;
                 }
                 for e in graph.out_range(s) {
                     let d = graph.edge_dst(EdgeIx(e));
-                    if bfs_gen[d.0 as usize] != generation {
+                    if field.dist(d) == ds - 1 && bfs_gen[d.0 as usize] != generation {
                         bfs_gen[d.0 as usize] = generation;
                         bfs_parent_edge[d.0 as usize] = EdgeIx(e);
                         bfs_queue.push(d.0);
                     }
                 }
             }
-            match found {
-                Some(target) => {
-                    // reconstruct the shortest path state -> target
-                    let mut path = Vec::new();
-                    let mut at = target;
-                    while at != state {
-                        let pe = bfs_parent_edge[at.0 as usize];
-                        path.push(pe);
-                        at = graph.edge_src(pe);
-                    }
-                    path.reverse();
-                    for e in path {
-                        state = take(
-                            e,
-                            &mut trace,
-                            &mut covered,
-                            &mut untraversed_out,
-                            &mut remaining,
-                            &mut fresh_in_trace,
-                        );
-                        if let Some(limit) = config.instruction_limit {
-                            if trace.instructions >= limit && fresh_in_trace > 0 {
-                                trace.hit_limit = true;
-                                total_traversals += trace.len() as u64;
-                                total_instructions += trace.instructions;
-                                traces.push(trace);
-                                continue 'outer;
-                            }
-                        }
+            explore_states_visited += head as u64;
+            // an exact field always leads to the frontier; a stale one would
+            // send the DFS back to a dead end forever
+            assert_eq!(field.dist(target), 0, "no frontier state {to_go} steps from {state:?}");
+
+            // reconstruct the shortest path state -> target
+            let mut path = Vec::with_capacity(to_go as usize);
+            let mut at = target;
+            while at != state {
+                let pe = bfs_parent_edge[at.0 as usize];
+                path.push(pe);
+                at = graph.edge_src(pe);
+            }
+            path.reverse();
+            for e in path {
+                state = take(
+                    state,
+                    e,
+                    &mut trace,
+                    &mut covered,
+                    &mut untraversed_out,
+                    &mut retired,
+                    &mut remaining,
+                    &mut fresh_in_trace,
+                );
+                if let Some(limit) = config.instruction_limit {
+                    if trace.instructions >= limit && fresh_in_trace > 0 {
+                        trace.hit_limit = true;
+                        total_traversals += trace.len() as u64;
+                        total_instructions += trace.instructions;
+                        traces.push(trace);
+                        continue 'outer;
                     }
                 }
-                None => break, // nothing reachable: close this trace
             }
         }
         let made_progress = fresh_in_trace > 0;
@@ -354,6 +390,8 @@ pub fn generate_tours_with(
         arcs_total: m,
         arcs_covered: covered.iter().filter(|&&c| c).count(),
         min_traces_lower_bound,
+        explores,
+        explore_states_visited,
     };
 
     TourSet { graph: graph.clone(), traces, covered, stats }
@@ -452,6 +490,27 @@ mod tests {
             limited.stats().total_edge_traversals,
             unlimited.stats().total_edge_traversals
         );
+    }
+
+    #[test]
+    fn explore_counters_are_pinned() {
+        // DFS covers 0->1->0->2->3->0 and dead-ends at 0 with 3->1 left;
+        // the one explore follows 0->2->3 and dequeues 0, 2, 3 — a search
+        // over every arc would also dequeue 1, one step from 0 but three
+        // from the frontier
+        let g = graph(&[(0, 1), (0, 2), (1, 0), (2, 3), (3, 0), (3, 1)]);
+        let t = generate_tours(&g, &TourConfig::default());
+        assert!(t.covers_all_arcs(&g));
+        assert_eq!(t.traces().len(), 1);
+        assert_eq!(t.stats().total_edge_traversals, 8);
+        assert_eq!((t.stats().explores, t.stats().explore_states_visited), (1, 3));
+
+        // the DFS strands itself on 1's self-loop; no untraversed arc is
+        // reachable from 1, so the explore closes the trace without a search
+        let g = graph(&[(0, 1), (0, 2), (1, 1), (2, 2)]);
+        let t = generate_tours(&g, &TourConfig::default());
+        assert_eq!(t.traces().len(), 2);
+        assert_eq!((t.stats().explores, t.stats().explore_states_visited), (1, 0));
     }
 
     #[test]

@@ -32,6 +32,7 @@
 //! ```
 
 pub mod coverage;
+mod distance;
 pub mod euler;
 pub mod generate;
 pub mod stats;

@@ -34,6 +34,10 @@ pub struct TourStats {
     /// Lower bound on the number of traces any generator needs (the
     /// out-degree of an unrevisitable reset state).
     pub min_traces_lower_bound: usize,
+    /// Explore phases started: DFS dead ends with arcs still untraversed.
+    pub explores: u64,
+    /// States dequeued by the explore searches, summed over all explores.
+    pub explore_states_visited: u64,
 }
 
 impl TourStats {
@@ -81,6 +85,11 @@ impl fmt::Display for TourStats {
             self.generation_time.as_secs_f64()
         )?;
         writeln!(f, "Longest Single Trace                  {} edges", self.longest_trace_edges)?;
+        writeln!(
+            f,
+            "Explores (states visited)             {} ({})",
+            self.explores, self.explore_states_visited
+        )?;
         write!(f, "Arc coverage                          {}/{}", self.arcs_covered, self.arcs_total)
     }
 }
@@ -100,6 +109,8 @@ mod tests {
             arcs_total: 1_172_848,
             arcs_covered: 1_172_848,
             min_traces_lower_bound: 1296,
+            explores: 4_096,
+            explore_states_visited: 65_536,
         }
     }
 
@@ -130,5 +141,6 @@ mod tests {
         assert!(text.contains("1296"));
         assert!(text.contains("21200173"));
         assert!(text.contains("8521468"));
+        assert!(text.contains("Explores (states visited)             4096 (65536)"));
     }
 }

@@ -14,6 +14,8 @@
 //!    requesting a multi-gigabyte allocation.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use archval::fsm::{
     enumerate, load_enum_result, save_enum_result, EnumConfig, Model, ModelBuilder,
@@ -49,11 +51,19 @@ fn rechecksum(mut bytes: Vec<u8>) -> Vec<u8> {
     bytes
 }
 
+/// A temp file path no other call — on this or another test thread —
+/// shares: the tests of this binary run in parallel, and a path named by
+/// process id and tag alone let one test delete or truncate another's file.
+fn temp_path(tag: &str) -> PathBuf {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!("archval_corrupt_{tag}_{}_{n}.avgs", std::process::id()))
+}
+
 /// Writes `bytes` to a fresh temp file and attempts to load it; returns
 /// `Err(())` on panic, else the typed load result mapped to `Ok`/`Err`.
 fn try_load(model: &Model, bytes: &[u8], tag: &str) -> Result<Result<(), String>, ()> {
-    let path =
-        std::env::temp_dir().join(format!("archval_corrupt_{tag}_{}.avgs", std::process::id()));
+    let path = temp_path(tag);
     std::fs::write(&path, bytes).unwrap();
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         load_enum_result(&path, model).map(|_| ()).map_err(|e| e.to_string())
@@ -64,8 +74,7 @@ fn try_load(model: &Model, bytes: &[u8], tag: &str) -> Result<Result<(), String>
 
 fn pristine(model: &Model) -> Vec<u8> {
     let enumd = enumerate(model, &EnumConfig::default()).unwrap();
-    let path =
-        std::env::temp_dir().join(format!("archval_corrupt_base_{}.avgs", std::process::id()));
+    let path = temp_path("base");
     save_enum_result(&path, model, &enumd).unwrap();
     let bytes = std::fs::read(&path).unwrap();
     std::fs::remove_file(&path).unwrap();
@@ -146,8 +155,7 @@ fn corruption_surfaces_as_core_snapshot_error() {
     let model = counter_model();
     let bytes = pristine(&model);
     let truncated = &bytes[..bytes.len() / 2];
-    let path =
-        std::env::temp_dir().join(format!("archval_corrupt_core_{}.avgs", std::process::id()));
+    let path = temp_path("core");
     std::fs::write(&path, truncated).unwrap();
     let err = load_enum_result(&path, &model).map(|_| ()).unwrap_err();
     std::fs::remove_file(&path).unwrap();
